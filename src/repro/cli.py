@@ -1,6 +1,17 @@
 """Command-line entry point: regenerate the EXPERIMENTS.md tables.
 
-Usage::
+One subcommand per job, each with its own flags (``ring-repro COMMAND
+--help`` lists them; a flag a command would not read is a usage error)::
+
+    ring-repro [run] EXP... [--preset P] [--jobs N] [--resume] [--shard I/N]
+    ring-repro report [EXP...] [--all] [--refit] [--prune-stale [--dry-run]]
+    ring-repro dashboard [--out DIR] [--open] [--fleet N] [--jobs N]
+    ring-repro ingest SRC... [--into DIR] [--strip-seconds]
+    ring-repro trace [--campaign ID]
+    ring-repro ledger {seed | append FILE | check} [--ledger PATH]
+
+``run`` is implied when the first argument is not a command name.
+Examples::
 
     ring-repro all                  # every experiment, full sweeps
     ring-repro E7 E8                # selected experiments
@@ -115,11 +126,13 @@ config-hash provenance and stale warnings, and machine exports
 what is missing and the build exits 0.  ``--out DIR`` picks the output
 directory (default ``dashboard/``), ``--open`` opens the index in a
 browser, ``--jobs N`` sets the timeline's replayed worker count.
-Output is byte-deterministic for a fixed store (CI diffs two renders).  ``--profile`` prints per-experiment
-cost as the *sum of per-cell wall clocks* (meaningful under any
-``--jobs``), sorted heaviest first, plus a campaign utilization line
-(busy worker-seconds / wall * jobs).  Exit status is non-zero when any
-executed experiment's claim check fails.
+Output is byte-deterministic for a fixed store (CI diffs two renders).
+
+``--profile`` prints per-experiment cost as the *sum of per-cell wall
+clocks* (meaningful under any ``--jobs``), sorted heaviest first, plus
+(for ``run``) a campaign utilization line (busy worker-seconds / wall *
+jobs).  Exit status is non-zero when any executed experiment's claim
+check fails.
 
 Every campaign also journals its spans — cells, subtasks, folds,
 finalizes, store writes — to an append-only JSONL sidecar under
@@ -159,7 +172,7 @@ from repro.runner import (
 )
 from repro.runner.store import DEFAULT_STORE_ROOT
 
-__all__ = ["main", "parse_sizes", "build_profile"]
+__all__ = ["main", "parse_args", "parse_sizes", "build_profile"]
 
 
 def parse_sizes(spec: str) -> tuple[int, ...]:
@@ -475,17 +488,14 @@ def _run_dashboard(args, profile: RunProfile, store: RunStore) -> int:
     # Imported here so plain experiment runs never pay the import.
     from repro.dashboard import build_dashboard
 
-    out_dir = args.out if args.out is not None else "dashboard"
-    fleet = args.fleet if args.fleet is not None else 1
+    out_dir = args.out
     written = build_dashboard(
         store,
         profile,
         out_dir=out_dir,
         timeline_jobs=args.jobs,
-        bench_dir=(
-            args.bench_dir if args.bench_dir is not None else "benchmarks"
-        ),
-        fleet=fleet,
+        bench_dir=args.bench_dir,
+        fleet=args.fleet,
     )
     index = next(path for path in written if path.name == "index.html")
     print(
@@ -500,15 +510,14 @@ def _run_dashboard(args, profile: RunProfile, store: RunStore) -> int:
     return 0
 
 
-def _run_ingest(args, sources: "list[str]") -> int:
+def _run_ingest(args) -> int:
     """The ``ingest`` subcommand: merge shard stores into one fleet store.
 
     Conflict details go to stderr (they are diagnostics, like stale
     warnings); the one-line outcome summary goes to stdout.
     """
-    dest = args.into if args.into is not None else DEFAULT_STORE_ROOT
     report = ingest_stores(
-        sources, dest, strip_seconds=args.strip_seconds
+        args.sources, args.into, strip_seconds=args.strip_seconds
     )
     for conflict in report.pruned:
         print(f"[ingest stale-prune: {conflict.describe()}]", file=sys.stderr)
@@ -537,7 +546,7 @@ def _run_trace(args) -> int:
     )
     from repro.obs.report import load_trace, render_trace
 
-    wanted = args.campaign if args.campaign is not None else "latest"
+    wanted = args.campaign
     path = resolve_journal(wanted)
     if path is None:
         where = (
@@ -557,8 +566,8 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_ledger(args, rest: "list[str]") -> int:
-    """The ``ledger`` subcommand: seed / append / check the perf ledger.
+def _run_ledger(args) -> int:
+    """The ``ledger`` command: seed / append / check the perf ledger.
 
     ``seed`` folds every ``BENCH_*.json`` under ``--bench-dir`` into the
     ledger (idempotent); ``append FILE`` records one fresh bench run;
@@ -576,33 +585,18 @@ def _run_ledger(args, rest: "list[str]") -> int:
         seed_ledger,
     )
 
-    action = rest[0].lower() if rest else ""
-    operands = rest[1:]
     path = args.ledger if args.ledger is not None else str(DEFAULT_LEDGER)
     try:
-        if action == "seed":
-            if operands:
-                raise ReproError(
-                    "ledger seed takes no operands; point --bench-dir at "
-                    "the BENCH_*.json directory"
-                )
-            bench_dir = (
-                args.bench_dir if args.bench_dir is not None else "benchmarks"
-            )
-            added, skipped = seed_ledger(bench_dir, path)
+        if args.action == "seed":
+            added, skipped = seed_ledger(args.bench_dir, path)
             print(
                 f"ledger seed: {added} entr{'y' if added == 1 else 'ies'} "
-                f"added to {path} from {bench_dir} "
+                f"added to {path} from {args.bench_dir} "
                 f"({skipped} file(s) skipped: already seeded or empty)"
             )
             return 0
-        if action == "append":
-            if len(operands) != 1:
-                raise ReproError(
-                    "ledger append takes exactly one bench JSON file "
-                    "(usage: ring-repro ledger append FILE [--run-id ID])"
-                )
-            bench_path = Path(operands[0])
+        if args.action == "append":
+            bench_path = Path(args.file)
             records = normalize_bench_file(bench_path)
             if not records:
                 raise ReproError(
@@ -623,25 +617,15 @@ def _run_ledger(args, rest: "list[str]") -> int:
                 f"into {path}"
             )
             return 0
-        if action == "check":
-            if operands:
-                raise ReproError("ledger check takes no operands")
-            check = check_ledger(
-                path,
-                window=args.window if args.window is not None else 8,
-                band_k=args.band_k if args.band_k is not None else 5.0,
-                rel_floor=(
-                    args.rel_floor if args.rel_floor is not None else 0.25
-                ),
-                min_history=(
-                    args.min_history if args.min_history is not None else 3
-                ),
-            )
-            print(check.render())
-            return 0 if check.passed else 1
-        raise ReproError(
-            f"unknown ledger action {action!r}; pick seed, append, or check"
+        check = check_ledger(
+            path,
+            window=args.window,
+            band_k=args.band_k,
+            rel_floor=args.rel_floor,
+            min_history=args.min_history,
         )
+        print(check.render())
+        return 0 if check.passed else 1
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -669,427 +653,10 @@ def _shard_summary(campaign: CampaignExecution, store: RunStore) -> str:
     )
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the requested experiments; return a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="ring-repro",
-        description=(
-            "Reproduce Mansour & Zaks (PODC 1986): bit complexity of "
-            "distributed computations in a ring with a leader."
-        ),
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (E1..E12) or 'all'; prefix with 'report' to "
-        "re-render tables from stored cell records without simulating, "
-        "use 'dashboard' to render the static HTML+JSON/CSV site from "
-        "the store, 'ingest SRC...' to merge shard stores into one "
-        "fleet store, 'trace' to replay a campaign's span journal into "
-        "a critical-path report, or 'ledger seed|append|check' to "
-        "maintain the perf-regression ledger",
-    )
-    parser.add_argument(
-        "--shard",
-        metavar="I/N",
-        default=None,
-        help="run fleet leg I of N: measure only this shard of the "
-        "campaign's cell list (a stable hash of cell identity partitions "
-        "the fleet deterministically) into its own store, for a later "
-        "'ingest' merge; 1-based, so shards are 1/N .. N/N",
-    )
-    parser.add_argument(
-        "--shard-strategy",
-        choices=["hash", "weight"],
-        default="hash",
-        help="with --shard: how the fleet partition assigns cells — "
-        "hash (default: stable identity hash, each cell's shard is "
-        "independent of the rest of the campaign) or weight "
-        "(deterministic LPT over planned cell weights, balancing "
-        "heavy-tailed campaigns; every leg must request the same "
-        "experiments, preset, and mode)",
-    )
-    parser.add_argument(
-        "--into",
-        metavar="DIR",
-        default=None,
-        help="with ingest: destination fleet store directory "
-        f"(default: {DEFAULT_STORE_ROOT}/)",
-    )
-    parser.add_argument(
-        "--strip-seconds",
-        action="store_true",
-        help="with ingest: zero each merged record's wall clock so two "
-        "stores of the same campaign (e.g. a merged fleet and an "
-        "unsharded baseline) become byte-identical",
-    )
-    parser.add_argument(
-        "--fleet",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with dashboard: annotate each cell's provenance with the "
-        "shard (i/N) that owns it in an N-machine fleet (default: 1, a "
-        "single-machine fleet)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="use reduced sweeps (alias for --preset quick)",
-    )
-    parser.add_argument(
-        "--preset",
-        choices=["quick", "full", "long"],
-        help="sweep preset: quick (test sizes), full (default), "
-        "long (n >= 10^4 metrics-mode sweeps for E1, E7-E11)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["sim", "model", "verify"],
-        default="sim",
-        help="how cells with an analytic model obtain records: sim "
-        "(simulate everything; default), model (closed-form bit "
-        "accounting only — long sweeps extend past the simulable "
-        "ceiling), verify (run both at simulable sizes and record a "
-        "bit-for-bit calibration verdict); experiments without a model "
-        "simulate regardless",
-    )
-    parser.add_argument(
-        "--sizes",
-        metavar="N,N,...",
-        help="override every size sweep's ring sizes (comma-separated; "
-        "growth fits need >= 3 sizes, and size-constrained experiments "
-        "such as E8 — multiples of 3 — fail on incompatible values)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="measure cells on N worker processes shared by the whole "
-        "campaign (default 1: in-process); tables are byte-identical "
-        "to --jobs 1",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse stored cell records whose config hash still matches; "
-        "only the missing cells are measured",
-    )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=DEFAULT_STORE_ROOT,
-        help=f"run-store directory for cell records (default: {DEFAULT_STORE_ROOT}/)",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="do not persist cell records (disables --resume and report)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-experiment cell time (heaviest first) plus the "
-        "campaign's shared-pool utilization line",
-    )
-    parser.add_argument(
-        "--all",
-        action="store_true",
-        help="with report: render every experiment and append an "
-        "aggregated campaign summary table",
-    )
-    parser.add_argument(
-        "--refit",
-        action="store_true",
-        help="with report: regenerate growth-law fits from the stored "
-        "records (no simulation) and print them per curve",
-    )
-    parser.add_argument(
-        "--prune-stale",
-        action="store_true",
-        help="with report: delete stale store files (ones no current "
-        "cell loads) after listing them and print the bytes reclaimed",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with report --prune-stale: list stale files and the bytes "
-        "they hold, delete nothing",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help="with dashboard: output directory for the rendered site "
-        "(default: dashboard/)",
-    )
-    parser.add_argument(
-        "--open",
-        action="store_true",
-        help="with dashboard: open the rendered index.html in a browser",
-    )
-    parser.add_argument(
-        "--bench-dir",
-        metavar="DIR",
-        default=None,
-        help="with dashboard or ledger seed: directory scanned for "
-        "BENCH_*.json records (default: benchmarks/)",
-    )
-    parser.add_argument(
-        "--campaign",
-        metavar="ID",
-        default=None,
-        help="with trace: which journal to replay — a campaign id (or "
-        ".jsonl filename) under the telemetry root, or 'latest' "
-        "(default)",
-    )
-    parser.add_argument(
-        "--ledger",
-        metavar="PATH",
-        default=None,
-        help="with ledger: the ledger file "
-        "(default: benchmarks/LEDGER.jsonl)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with ledger check: trailing history window per metric "
-        "(default: 8 prior runs)",
-    )
-    parser.add_argument(
-        "--band-k",
-        type=float,
-        default=None,
-        metavar="K",
-        help="with ledger check: band halfwidth in MADs around the "
-        "trailing median (default: 5.0)",
-    )
-    parser.add_argument(
-        "--rel-floor",
-        type=float,
-        default=None,
-        metavar="F",
-        help="with ledger check: minimum band halfwidth as a fraction "
-        "of the median, keeping deterministic metrics (MAD 0) from "
-        "failing every change (default: 0.25)",
-    )
-    parser.add_argument(
-        "--min-history",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with ledger check: metrics with fewer prior points are "
-        "reported as new and pass (default: 3)",
-    )
-    parser.add_argument(
-        "--run-id",
-        metavar="ID",
-        default=None,
-        help="with ledger append: the run id to record under "
-        "(default: the bench file's name)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        profile = build_profile(
-            args.preset, args.sizes, args.quick, args.mode
-        )
-        if args.jobs < 1:
-            raise ReproError(
-                f"--jobs needs a positive worker count, got {args.jobs}"
-            )
-        if args.fleet is not None and args.fleet < 1:
-            raise ReproError(
-                f"--fleet needs a positive fleet size, got {args.fleet}"
-            )
-    except ReproError as error:
-        parser.error(str(error))
-
-    requested = list(args.experiments)
-    command = requested[0].lower() if requested else ""
-    report_mode = command == "report"
-    dashboard_mode = command == "dashboard"
-    ingest_mode = command == "ingest"
-    trace_mode = command == "trace"
-    ledger_mode = command == "ledger"
-    if args.dry_run and not args.prune_stale:
-        parser.error("--dry-run only applies to report --prune-stale")
-    if not dashboard_mode:
-        for flag, name in (
-            (args.open, "--open"),
-            (args.out is not None, "--out"),
-            (args.fleet is not None, "--fleet"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to dashboard mode")
-    if args.bench_dir is not None and not (dashboard_mode or ledger_mode):
-        parser.error("--bench-dir only applies to dashboard and ledger modes")
-    if args.campaign is not None and not trace_mode:
-        parser.error("--campaign only applies to trace mode")
-    if not ledger_mode:
-        for flag, name in (
-            (args.ledger is not None, "--ledger"),
-            (args.window is not None, "--window"),
-            (args.band_k is not None, "--band-k"),
-            (args.rel_floor is not None, "--rel-floor"),
-            (args.min_history is not None, "--min-history"),
-            (args.run_id is not None, "--run-id"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to ledger mode")
-    if trace_mode or ledger_mode:
-        for flag, name in (
-            (args.no_store, "--no-store"),
-            (args.resume, "--resume"),
-            (args.profile, "--profile"),
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-            (args.quick, "--quick"),
-            (args.preset is not None, "--preset"),
-            (args.sizes is not None, "--sizes"),
-            (args.mode != "sim", "--mode"),
-            (args.jobs != 1, "--jobs"),
-            (args.store != DEFAULT_STORE_ROOT, "--store"),
-        ):
-            if flag:
-                parser.error(f"{name} does not apply to {command} mode")
-    if not ingest_mode:
-        for flag, name in (
-            (args.into is not None, "--into"),
-            (args.strip_seconds, "--strip-seconds"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to ingest mode")
-    shard = None
-    if args.shard is not None:
-        if (
-            report_mode
-            or dashboard_mode
-            or ingest_mode
-            or trace_mode
-            or ledger_mode
-        ):
-            parser.error(
-                f"--shard only applies when running experiments; a "
-                f"{command} reads stores, it does not measure"
-            )
-        if args.no_store:
-            parser.error(
-                "--shard fills a run store for a later ingest merge; "
-                "drop --no-store"
-            )
-        try:
-            shard = parse_shard(args.shard)
-        except ReproError as error:
-            parser.error(str(error))
-    elif args.shard_strategy != "hash":
-        parser.error(
-            "--shard-strategy only applies with --shard i/N; an unsharded "
-            "run measures every cell regardless of the partition"
-        )
-    if ingest_mode:
-        sources = requested[1:]
-        if not sources:
-            parser.error(
-                "ingest needs at least one source store directory "
-                "(usage: ring-repro ingest SRC... [--into DIR])"
-            )
-        for flag, name in (
-            (args.no_store, "--no-store"),
-            (args.resume, "--resume"),
-            (args.profile, "--profile"),
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-            (args.quick, "--quick"),
-            (args.preset is not None, "--preset"),
-            (args.sizes is not None, "--sizes"),
-            (args.mode != "sim", "--mode"),
-            (args.jobs != 1, "--jobs"),
-            (args.store != DEFAULT_STORE_ROOT, "--store"),
-        ):
-            if flag:
-                hint = (
-                    " (ingest writes to --into DIR)"
-                    if name == "--store"
-                    else ""
-                )
-                parser.error(f"{name} does not apply to ingest mode{hint}")
-        return _run_ingest(args, sources)
-    if trace_mode:
-        if requested[1:]:
-            parser.error(
-                "trace takes no experiment ids; pick a journal with "
-                "--campaign ID (usage: ring-repro trace [--campaign ID])"
-            )
-        return _run_trace(args)
-    if ledger_mode:
-        if not requested[1:]:
-            parser.error(
-                "ledger needs an action: seed, append FILE, or check"
-            )
-        return _run_ledger(args, requested[1:])
-    if report_mode:
-        requested = requested[1:]
-        if not requested and not args.all:
-            parser.error(
-                "report needs experiment ids (E1..E12), 'all', or --all"
-            )
-        if args.no_store:
-            parser.error("report renders from the store; drop --no-store")
-    elif dashboard_mode:
-        requested = requested[1:]
-        if requested:
-            parser.error(
-                "dashboard renders every experiment; drop the ids "
-                "(usage: ring-repro dashboard [--out DIR] [--open])"
-            )
-        if args.no_store:
-            parser.error("dashboard renders from the store; drop --no-store")
-        for flag, name in (
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-            (args.resume, "--resume"),
-            (args.profile, "--profile"),
-        ):
-            if flag:
-                parser.error(f"{name} does not apply to dashboard mode")
-    else:
-        for flag, name in (
-            (args.all, "--all"),
-            (args.refit, "--refit"),
-            (args.prune_stale, "--prune-stale"),
-        ):
-            if flag:
-                parser.error(f"{name} only applies to report mode")
-    if any(
-        item.lower() in ("report", "dashboard", "ingest", "trace", "ledger")
-        for item in requested
-    ):
-        parser.error(
-            "'report'/'dashboard'/'ingest'/'trace'/'ledger' go first: "
-            "ring-repro report E8 [...]"
-        )
-    if args.resume and args.no_store:
-        parser.error("--resume reads and refills the store; drop --no-store")
-
+def _run_campaign(args, exp_ids: "list[str]") -> int:
+    """The ``run`` command: measure the experiments as one campaign."""
+    profile = args.run_profile
     store = None if args.no_store else RunStore(args.store)
-    if dashboard_mode:
-        return _run_dashboard(args, profile, store)
-    if args.all or any(item.lower() == "all" for item in requested):
-        exp_ids = list(ALL_EXPERIMENTS)
-    else:
-        # A campaign plans each experiment exactly once; repeating an id
-        # on the command line would only repeat the identical table.
-        exp_ids = list(dict.fromkeys(item.upper() for item in requested))
-
-    if report_mode:
-        return _run_report(args, profile, store, exp_ids)
-
     if profile.sizes is not None:
         for exp_id in exp_ids:
             if exp_id in FIXED_SWEEP_EXPERIMENTS:
@@ -1118,6 +685,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # A sharded leg renders at the end (finalized experiments only, in
     # request order): most experiments stay partial, so the streaming
     # request-order gate would never open past the first partial one.
+    shard = args.shard
     campaign = execute_campaign(
         specs,
         profile,
@@ -1147,15 +715,314 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     if shard is not None:
         print(_shard_summary(campaign, store))
-        if failures:
-            print(f"{failures} experiment(s) FAILED", file=sys.stderr)
-            return 1
-        return 0
     if failures:
         print(f"{failures} experiment(s) FAILED", file=sys.stderr)
         return 1
-    print(f"all {len(exp_ids)} experiment(s) passed")
+    if shard is None:
+        print(f"all {len(exp_ids)} experiment(s) passed")
     return 0
+
+
+COMMANDS = ("run", "report", "dashboard", "ingest", "trace", "ledger")
+
+
+def _positive(noun: str):
+    """An argparse ``type`` accepting positive integers only."""
+
+    def positive(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"needs a positive {noun}, got {value}"
+            )
+        return value
+
+    return positive
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each declaring only the flags it reads."""
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument(
+        "--quick", action="store_true",
+        help="use reduced sweeps (alias for --preset quick)",
+    )
+    sweep.add_argument(
+        "--preset", choices=["quick", "full", "long"],
+        help="sweep preset: quick (test sizes), full (default), "
+        "long (n >= 10^4 metrics-mode sweeps for E1, E7-E11)",
+    )
+    sweep.add_argument(
+        "--mode", choices=["sim", "model", "verify"], default="sim",
+        help="how cells with an analytic model (E9/E10) obtain records: "
+        "sim (default), model (closed-form bit accounting only), or "
+        "verify (both, recording a bit-for-bit calibration verdict)",
+    )
+    sweep.add_argument(
+        "--sizes", metavar="N,N,...",
+        help="override every size sweep's ring sizes (comma-separated; "
+        "growth fits need >= 3 sizes)",
+    )
+    sweep.add_argument(
+        "--store", metavar="DIR", default=DEFAULT_STORE_ROOT,
+        help=f"run-store directory (default: {DEFAULT_STORE_ROOT}/)",
+    )
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs", type=_positive("worker count"), default=1, metavar="N",
+        help="worker count (default 1): run measures cells on N processes "
+        "shared by the whole campaign; dashboard replays its timeline on "
+        "N lanes",
+    )
+    profiled = argparse.ArgumentParser(add_help=False)
+    profiled.add_argument(
+        "--profile", action="store_true",
+        help="print per-experiment cell time, heaviest first",
+    )
+    bench = argparse.ArgumentParser(add_help=False)
+    bench.add_argument(
+        "--bench-dir", metavar="DIR", default="benchmarks",
+        help="directory scanned for BENCH_*.json records "
+        "(default: benchmarks/)",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="ring-repro",
+        description="Reproduce Mansour & Zaks (PODC 1986): bit complexity "
+        "of distributed computations in a ring with a leader.",
+        epilog="'run' is implied when the first argument is not a "
+        "command: ring-repro E1 E2 --quick.  'ring-repro COMMAND --help' "
+        "lists a command's flags.",
+    )
+    commands = parser.add_subparsers(
+        dest="command", metavar="COMMAND", required=True
+    )
+
+    run = commands.add_parser(
+        "run", parents=[sweep, jobs, profiled],
+        help="measure experiments as one campaign (the default command)",
+    )
+    run.add_argument(
+        "experiments", nargs="+", metavar="EXP",
+        help="experiment ids (E1..E12, case-insensitive) or 'all'",
+    )
+    run.add_argument(
+        "--resume", action="store_true",
+        help="reuse stored cell records whose config hash still matches",
+    )
+    run.add_argument(
+        "--no-store", action="store_true",
+        help="do not persist cell records",
+    )
+    run.add_argument(
+        "--shard", metavar="I/N",
+        help="run fleet leg I of N (1-based): measure only this shard of "
+        "the campaign's cells into its own store, for a later 'ingest'",
+    )
+    run.add_argument(
+        "--shard-strategy", choices=["hash", "weight"], default="hash",
+        help="with --shard: partition by a stable identity hash (default) "
+        "or by LPT over planned cell weights (every leg must then request "
+        "the same experiments, preset, and mode)",
+    )
+
+    report = commands.add_parser(
+        "report", parents=[sweep, profiled],
+        help="re-render tables from the run store, no simulation",
+    )
+    report.add_argument(
+        "experiments", nargs="*", metavar="EXP",
+        help="experiment ids (E1..E12) or 'all'; optional with --all",
+    )
+    report.add_argument(
+        "--all", action="store_true",
+        help="render every experiment plus a campaign summary table",
+    )
+    report.add_argument(
+        "--refit", action="store_true",
+        help="regenerate growth-law fits from the stored records",
+    )
+    report.add_argument(
+        "--prune-stale", action="store_true",
+        help="delete store files no current cell loads, after listing them",
+    )
+    report.add_argument(
+        "--dry-run", action="store_true",
+        help="with --prune-stale: list stale files, delete nothing",
+    )
+
+    dashboard = commands.add_parser(
+        "dashboard", parents=[sweep, jobs, bench],
+        help="render the static HTML+JSON/CSV site from the run store",
+    )
+    dashboard.add_argument(
+        "--out", metavar="DIR", default="dashboard",
+        help="output directory (default: dashboard/)",
+    )
+    dashboard.add_argument(
+        "--open", action="store_true",
+        help="open the rendered index.html in a browser",
+    )
+    dashboard.add_argument(
+        "--fleet", type=_positive("fleet size"), default=1, metavar="N",
+        help="annotate each cell with the shard (i/N) owning it in an "
+        "N-machine fleet (default: 1)",
+    )
+
+    ingest = commands.add_parser(
+        "ingest", help="merge shard stores into one fleet store"
+    )
+    ingest.add_argument(
+        "sources", nargs="+", metavar="SRC", help="shard store directories"
+    )
+    ingest.add_argument(
+        "--into", metavar="DIR", default=DEFAULT_STORE_ROOT,
+        help=f"destination store (default: {DEFAULT_STORE_ROOT}/)",
+    )
+    ingest.add_argument(
+        "--strip-seconds", action="store_true",
+        help="zero merged records' wall clocks, so stores of the same "
+        "campaign become byte-identical",
+    )
+
+    trace = commands.add_parser(
+        "trace",
+        help="replay a campaign's span journal into a critical-path report",
+    )
+    trace.add_argument(
+        "--campaign", metavar="ID", default="latest",
+        help="campaign id (or .jsonl filename) under the telemetry root, "
+        "or 'latest' (default)",
+    )
+
+    ledger_file = argparse.ArgumentParser(add_help=False)
+    ledger_file.add_argument(
+        "--ledger", metavar="PATH",
+        help="the ledger file (default: benchmarks/LEDGER.jsonl)",
+    )
+    actions = commands.add_parser(
+        "ledger", help="maintain the perf-regression ledger"
+    ).add_subparsers(dest="action", metavar="ACTION", required=True)
+    actions.add_parser(
+        "seed", parents=[ledger_file, bench],
+        help="fold every BENCH_*.json into the ledger (idempotent)",
+    )
+    append = actions.add_parser(
+        "append", parents=[ledger_file], help="record one bench run"
+    )
+    append.add_argument("file", metavar="FILE", help="a bench JSON file")
+    append.add_argument(
+        "--run-id", metavar="ID",
+        help="run id to record under (default: the bench file's name)",
+    )
+    check = actions.add_parser(
+        "check", parents=[ledger_file],
+        help="gate: the newest run against its trailing drift bands",
+    )
+    check.add_argument(
+        "--window", type=int, default=8, metavar="N",
+        help="trailing history window per metric (default: 8 prior runs)",
+    )
+    check.add_argument(
+        "--band-k", type=float, default=5.0, metavar="K",
+        help="band halfwidth in MADs around the median (default: 5.0)",
+    )
+    check.add_argument(
+        "--rel-floor", type=float, default=0.25, metavar="F",
+        help="minimum band halfwidth as a fraction of the median "
+        "(default: 0.25)",
+    )
+    check.add_argument(
+        "--min-history", type=int, default=3, metavar="N",
+        help="fewer prior points than this report as new and pass "
+        "(default: 3)",
+    )
+    return parser
+
+
+def _check(args: argparse.Namespace) -> None:
+    """The cross-flag rules argparse cannot express; ReproError if broken.
+
+    Also resolves the sweep flags into ``args.run_profile`` and the
+    ``--shard`` spelling into an ``(index, total)`` pair.
+    """
+    if args.command in ("run", "report", "dashboard"):
+        args.run_profile = build_profile(
+            args.preset, args.sizes, args.quick, args.mode
+        )
+    if args.command == "run":
+        if args.shard is not None:
+            args.shard = parse_shard(args.shard)
+            if args.no_store:
+                raise ReproError(
+                    "--shard fills a run store for a later ingest merge; "
+                    "drop --no-store"
+                )
+        elif args.shard_strategy != "hash":
+            raise ReproError(
+                "--shard-strategy only applies with --shard i/N; an "
+                "unsharded run measures every cell regardless of the "
+                "partition"
+            )
+        if args.resume and args.no_store:
+            raise ReproError(
+                "--resume reads and refills the store; drop --no-store"
+            )
+    elif args.command == "report":
+        if args.dry_run and not args.prune_stale:
+            raise ReproError("--dry-run only applies to report --prune-stale")
+        if not args.experiments and not args.all:
+            raise ReproError(
+                "report needs experiment ids (E1..E12), 'all', or --all"
+            )
+
+
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse a command line; every usage error exits 2 via argparse."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0].lower() in COMMANDS:
+        argv[0] = argv[0].lower()
+    elif argv and argv[0] not in ("-h", "--help"):
+        argv.insert(0, "run")
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _check(args)
+    except ReproError as error:
+        parser.error(str(error))
+    return args
+
+
+def _experiment_ids(
+    items: "list[str]", everything: bool = False
+) -> "list[str]":
+    """Resolve positional ids: 'all' expands, repeats collapse."""
+    if everything or any(item.lower() == "all" for item in items):
+        return list(ALL_EXPERIMENTS)
+    # A campaign plans each experiment exactly once; repeating an id on
+    # the command line would only repeat the identical table.
+    return list(dict.fromkeys(item.upper() for item in items))
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; return a process exit code."""
+    args = parse_args(argv)
+    if args.command == "ingest":
+        return _run_ingest(args)
+    if args.command == "trace":
+        return _run_trace(args)
+    if args.command == "ledger":
+        return _run_ledger(args)
+    if args.command == "dashboard":
+        return _run_dashboard(args, args.run_profile, RunStore(args.store))
+    if args.command == "report":
+        return _run_report(
+            args,
+            args.run_profile,
+            RunStore(args.store),
+            _experiment_ids(args.experiments, args.all),
+        )
+    return _run_campaign(args, _experiment_ids(args.experiments))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from repro.runner.sharding import (
     lpt_assignment,
     owns,
     parse_shard,
-    shard_assignment,
     shard_index,
 )
 from repro.runner.store import RunStore, StoredCell
@@ -54,6 +53,5 @@ __all__ = [
     "owns",
     "parse_shard",
     "report_from_store",
-    "shard_assignment",
     "shard_index",
 ]

@@ -252,7 +252,7 @@ def execute_campaign(
     ``shard`` — the CLI's ``--shard i/N`` as a 1-based ``(index,
     total)`` — restricts *measurement* to the cells this shard owns
     under the fleet partition
-    (:func:`repro.runner.sharding.shard_assignment`), a pure function
+    (:func:`repro.runner.sharding.campaign_assignment`), a pure function
     of the campaign, so every shard of a fleet agrees on the split
     regardless of request order or ``jobs``.  ``shard_strategy``
     selects it: ``"hash"`` (default) assigns each cell by a stable

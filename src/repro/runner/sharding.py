@@ -47,7 +47,6 @@ __all__ = [
     "SHARD_STRATEGIES",
     "campaign_assignment",
     "lpt_assignment",
-    "shard_assignment",
 ]
 
 _SHARD_RE = re.compile(r"(\d+)\s*/\s*(\d+)")
@@ -144,32 +143,6 @@ def lpt_assignment(
         assignment[(exp_id, cell.key)] = target
         loads[target] += cell.weight
     return assignment
-
-
-def shard_assignment(
-    cells: "Sequence[tuple[str, Cell]]",
-    total: int,
-    strategy: str = "hash",
-) -> "dict[tuple[str, str], int]":
-    """The fleet partition for a whole campaign, as ``{identity: shard}``.
-
-    ``strategy="hash"`` reproduces :func:`shard_index` cell by cell (the
-    compatible default — each cell's shard depends only on its own
-    identity); ``strategy="weight"`` balances planned weights with
-    :func:`lpt_assignment`.  Both are pure functions of the campaign, so
-    fleet legs need no coordination beyond launching the same command.
-    """
-    if strategy not in SHARD_STRATEGIES:
-        raise ReproError(
-            f"unknown shard strategy {strategy!r}; expected one of "
-            f"{', '.join(SHARD_STRATEGIES)}"
-        )
-    if strategy == "weight":
-        return lpt_assignment(cells, total)
-    return {
-        (exp_id, cell.key): shard_index(exp_id, cell.key, total)
-        for exp_id, cell in cells
-    }
 
 
 def campaign_assignment(

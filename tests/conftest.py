@@ -15,6 +15,20 @@ def rng() -> random.Random:
     return random.Random(0xBEEF)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_telemetry_root(tmp_path_factory):
+    """Point the span journal's sidecar at a session temp directory.
+
+    Session-scoped so it is in place before any module- or class-scoped
+    fixture runs a campaign; the per-test fixture below narrows it
+    further for function-scoped work.
+    """
+    root = tmp_path_factory.mktemp("telemetry")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_TELEMETRY_DIR", str(root))
+        yield root
+
+
 @pytest.fixture(autouse=True)
 def _isolated_run_store(tmp_path, monkeypatch):
     """Point the CLI's default cell store at a per-test temp directory.

@@ -359,7 +359,7 @@ class TestCampaignCLI:
             with pytest.raises(SystemExit) as excinfo:
                 main(["E8", "--quick", flag])
             assert excinfo.value.code == 2
-            assert "report mode" in capsys.readouterr().err
+            assert flag in capsys.readouterr().err
 
     def test_cli_report_all_without_ids(self, capsys, tmp_path):
         """`report --all` needs no positional ids beyond 'report'."""

@@ -69,6 +69,20 @@ def _store_snapshot(root: Path) -> "dict[str, object]":
     }
 
 
+@pytest.fixture(scope="module")
+def module_scoped_campaign():
+    """A campaign run before any function-scoped fixture is set up."""
+    return execute_campaign([get_spec("E11")], QUICK)
+
+
+class TestTelemetryIsolation:
+    def test_module_scoped_campaign_journals_under_temp_root(
+        self, module_scoped_campaign, tmp_path_factory
+    ):
+        path = module_scoped_campaign.journal.path.resolve()
+        assert tmp_path_factory.getbasetemp().resolve() in path.parents
+
+
 class TestJournal:
     def test_campaign_journal_is_well_formed(self):
         campaign = execute_campaign(_specs(), QUICK, jobs=2)
