@@ -3,15 +3,19 @@
 
 Runs the counter-style quick fleet (E1, E7, E8, E11 — a fast
 end-to-end workload in the spirit of ``bench_campaign.py``'s timing
-subset) through one shared 2-worker pool with no store, and emits one
-canonical ``{records: [...]}`` payload:
+subset) through one shared 2-worker pool, once with no store and once
+into a fresh temporary store, and emits one canonical
+``{records: [...]}`` payload:
 
 * ``quick_fleet.wall_s`` / ``quick_fleet.measured_cell_s`` — timing
   metrics the ledger's drift bands watch for step-change regressions;
 * ``quick_fleet.cells`` / ``quick_fleet.subtasks`` — deterministic
   work-item counts (a plan that silently grows or shrinks drifts);
 * ``quick_fleet.<exp>.rows`` — per-experiment result-table row counts
-  (deterministic; a table that changes shape drifts).
+  (deterministic; a table that changes shape drifts);
+* ``quick_fleet_store.wall_s`` / ``quick_fleet_store.cells`` — the same
+  fleet with the store on, so config hashing and store writes, which
+  the store-less leg never reaches, stay under the drift bands too.
 
 Usage (CI's ledger-gate job, or locally to extend the history)::
 
@@ -26,17 +30,18 @@ import argparse
 import datetime
 import json
 import platform
+import tempfile
 
 from bench_harness import bench_record, write_bench_records
 from repro.experiments import RunProfile, get_spec
-from repro.runner import execute_campaign
+from repro.runner import RunStore, execute_campaign
 
 FLEET = ("E1", "E7", "E8", "E11")
 QUICK = RunProfile(preset="quick")
 
 
 def collect(jobs: int = 2) -> "list[dict]":
-    """Run the quick fleet once and return its canonical records."""
+    """Run the quick fleet without and with a store; return the records."""
     specs = [get_spec(exp_id) for exp_id in FLEET]
     campaign = execute_campaign(specs, QUICK, jobs=jobs)
     context = f"{'+'.join(FLEET)} --quick --jobs {jobs}"
@@ -74,6 +79,27 @@ def collect(jobs: int = 2) -> "list[dict]":
                 context,
             )
         )
+    with tempfile.TemporaryDirectory() as root:
+        stored = execute_campaign(
+            specs, QUICK, jobs=jobs, store=RunStore(root)
+        )
+    for execution in stored.executions.values():
+        execution.result.require_passed()
+    store_context = f"{context} --store <fresh>"
+    records += [
+        bench_record(
+            "quick_fleet_store.wall_s",
+            round(stored.wall_seconds, 6),
+            "s",
+            store_context,
+        ),
+        bench_record(
+            "quick_fleet_store.cells",
+            stored.cell_count,
+            "cells",
+            store_context,
+        ),
+    ]
     return records
 
 

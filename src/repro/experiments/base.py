@@ -30,6 +30,7 @@ path every legacy ``run(profile)`` entry point delegates to.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -88,7 +89,9 @@ DEFAULT_SEED = 20250612
 # and its own fn source — but not helpers or the simulators the fn
 # calls.  Bump this when substrate changes alter measured results, so
 # every stored record in runs/ stops matching and --resume/report fail
-# closed instead of serving pre-change numbers.
+# closed instead of serving pre-change numbers.  The fn source is read
+# once per function object per process (see _fn_source): an edit is
+# seen by the next process, not by one that already hashed the fn.
 # v2: cells carry a mode axis (sim | model | verify); the mode is part
 # of the hash (and of non-sim cell keys), so model-backed and simulated
 # records of the same (exp, size) are distinct store entries.
@@ -340,6 +343,7 @@ SplitFn = Callable[["Cell"], "Sequence[Subtask]"]
 FoldFn = Callable[[dict, dict], dict]
 
 
+@functools.lru_cache(maxsize=None)
 def _fn_source(fn: CellFn) -> str:
     """The measurement function's source text, for the config hash.
 
@@ -347,6 +351,14 @@ def _fn_source(fn: CellFn) -> str:
     stored records.  Source-less callables (builtins, REPL definitions)
     fall back to the empty string — their identity is then carried by
     the qualified name alone.
+
+    Memoized per function object for the life of the process: the
+    source seen at the first hash is the one every later hash uses, so
+    hashing costs one ``inspect.getsource`` per function, not one per
+    call.  An edit made to the file while a process runs therefore does
+    not change that process's hashes (the fn it runs is the old code
+    too); the next process, or a reloaded module, whose functions are
+    new objects, reads the new source.
     """
     try:
         return inspect.getsource(fn)
@@ -439,6 +451,13 @@ class Cell:
         pre-fix numbers to ``--resume``/``report``.  (Helpers the fn
         calls are not covered; bump :data:`CELL_SCHEMA_VERSION` when
         changing those in a result-affecting way.)
+
+        Source text comes from :func:`_fn_source`, which reads each
+        function once per process, so after the first call per fn the
+        hash is one small ``json.dumps`` plus a SHA-256.  The value is
+        recomputed on every call and never cached on the cell (cells
+        pickle to workers as plain fields); callers that need it more
+        than once per operation compute it once and pass it along.
         """
         blob = json.dumps(
             {

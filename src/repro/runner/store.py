@@ -121,14 +121,32 @@ class RunStore:
     def __init__(self, root: str | os.PathLike = DEFAULT_STORE_ROOT) -> None:
         self.root = Path(root)
 
+    # Store operations hash their cell once and hand the digest to these
+    # private helpers: each public method costs exactly one
+    # Cell.config_hash call.
+
+    def _cell_dir(self, cell: Cell, profile: RunProfile) -> Path:
+        return self.root / cell.exp_id / _profile_tag(profile)
+
+    def _record_path(
+        self, cell: Cell, profile: RunProfile, config_hash: str
+    ) -> Path:
+        return (
+            self._cell_dir(cell, profile)
+            / f"{_safe_key(cell.key)}__{config_hash}.json"
+        )
+
+    def _subtask_path(
+        self, cell: Cell, profile: RunProfile, part: str, config_hash: str
+    ) -> Path:
+        return self._cell_dir(cell, profile) / (
+            f"{_safe_key(cell.key)}__{config_hash}"
+            f".{_safe_key(part)}.json.part"
+        )
+
     def path_for(self, cell: Cell, profile: RunProfile) -> Path:
         """Where this cell's record lives (for this profile's preset)."""
-        return (
-            self.root
-            / cell.exp_id
-            / _profile_tag(profile)
-            / f"{_safe_key(cell.key)}__{cell.config_hash()}.json"
-        )
+        return self._record_path(cell, profile, cell.config_hash())
 
     def load(self, cell: Cell, profile: RunProfile) -> StoredCell | None:
         """The stored record for this exact measurement, or None.
@@ -140,7 +158,14 @@ class RunStore:
         also a miss (the cell is simply re-measured), but it warns: the
         operator should know a record they paid for is unreadable.
         """
-        path = self.path_for(cell, profile)
+        config_hash = cell.config_hash()
+        return self._load(
+            cell, self._record_path(cell, profile, config_hash), config_hash
+        )
+
+    def _load(
+        self, cell: Cell, path: Path, config_hash: str
+    ) -> StoredCell | None:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -150,7 +175,7 @@ class RunStore:
                 f"run store record {path} is corrupt ({error}); treating "
                 "the cell as unmeasured",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             return None
         if not isinstance(payload, dict):
@@ -158,7 +183,7 @@ class RunStore:
         if (
             payload.get("exp_id") != cell.exp_id
             or payload.get("key") != cell.key
-            or payload.get("config_hash") != cell.config_hash()
+            or payload.get("config_hash") != config_hash
             or "record" not in payload
         ):
             return None
@@ -172,7 +197,8 @@ class RunStore:
         self, cell: Cell, profile: RunProfile, record: dict, seconds: float
     ) -> Path:
         """Persist one cell record (atomic rename; safe to kill mid-run)."""
-        path = self.path_for(cell, profile)
+        config_hash = cell.config_hash()
+        path = self._record_path(cell, profile, config_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "exp_id": cell.exp_id,
@@ -181,7 +207,7 @@ class RunStore:
             "mode": cell.mode,
             "params": dict(cell.params),
             "seed": cell.seed,
-            "config_hash": cell.config_hash(),
+            "config_hash": config_hash,
             "seconds": round(seconds, 6),
             "record": record,
         }
@@ -199,21 +225,15 @@ class RunStore:
         self, cell: Cell, profile: RunProfile, part: str
     ) -> Path:
         """Where one part of a divisible cell's record lives."""
-        return (
-            self.root
-            / cell.exp_id
-            / _profile_tag(profile)
-            / (
-                f"{_safe_key(cell.key)}__{cell.config_hash()}"
-                f".{_safe_key(part)}.json.part"
-            )
-        )
+        return self._subtask_path(cell, profile, part, cell.config_hash())
 
-    def _subtask_paths(self, cell: Cell, profile: RunProfile) -> "list[Path]":
-        directory = self.root / cell.exp_id / _profile_tag(profile)
+    def _subtask_paths(
+        self, cell: Cell, profile: RunProfile, config_hash: str
+    ) -> "list[Path]":
+        directory = self._cell_dir(cell, profile)
         if not directory.is_dir():
             return []
-        pattern = f"{_safe_key(cell.key)}__{cell.config_hash()}.*.json.part"
+        pattern = f"{_safe_key(cell.key)}__{config_hash}.*.json.part"
         return sorted(directory.glob(pattern))
 
     def save_subtask(
@@ -232,7 +252,8 @@ class RunStore:
         machines — can only ever fold parts the current code would have
         measured identically.
         """
-        path = self.subtask_path_for(cell, profile, part)
+        config_hash = cell.config_hash()
+        path = self._subtask_path(cell, profile, part, config_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "exp_id": cell.exp_id,
@@ -240,7 +261,7 @@ class RunStore:
             "part": part,
             "preset": profile.preset,
             "mode": cell.mode,
-            "config_hash": cell.config_hash(),
+            "config_hash": config_hash,
             "seconds": round(seconds, 6),
             "record": record,
         }
@@ -264,8 +285,9 @@ class RunStore:
         does not match the cell is ignored, a part that fails to parse
         warns and is re-measured.
         """
+        config_hash = cell.config_hash()
         parts: "dict[str, StoredCell]" = {}
-        for path in self._subtask_paths(cell, profile):
+        for path in self._subtask_paths(cell, profile, config_hash):
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, ValueError) as error:
@@ -281,7 +303,7 @@ class RunStore:
             if (
                 payload.get("exp_id") != cell.exp_id
                 or payload.get("key") != cell.key
-                or payload.get("config_hash") != cell.config_hash()
+                or payload.get("config_hash") != config_hash
                 or not isinstance(payload.get("part"), str)
                 or "record" not in payload
             ):
@@ -301,7 +323,7 @@ class RunStore:
         Files that vanish mid-clear (a concurrent fold) are skipped.
         """
         cleared = []
-        for path in self._subtask_paths(cell, profile):
+        for path in self._subtask_paths(cell, profile, cell.config_hash()):
             try:
                 path.unlink()
             except FileNotFoundError:
@@ -432,9 +454,11 @@ class RunStore:
         for exp_id, cells in plans.items():
             hits: dict[str, StoredCell] = {}
             for cell in cells:
-                if self.path_for(cell, profile) not in present:
+                config_hash = cell.config_hash()
+                path = self._record_path(cell, profile, config_hash)
+                if path not in present:
                     continue
-                stored = self.load(cell, profile)
+                stored = self._load(cell, path, config_hash)
                 if stored is not None:
                     hits[cell.key] = stored
             skip[exp_id] = hits
@@ -462,7 +486,7 @@ class RunStore:
         # every path the plan can load is excluded, not just the
         # matching cell's own.
         expected = {self.path_for(cell, profile) for cell in cells}
-        directory = self.root / cells[0].exp_id / _profile_tag(profile)
+        directory = self._cell_dir(cells[0], profile)
         if not directory.is_dir():
             return []
         # One directory scan, matched on the "<safe_key>__<hash>" split:

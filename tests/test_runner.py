@@ -9,6 +9,10 @@ renders from the store alone or fails naming the missing cells.
 
 from __future__ import annotations
 
+import collections
+import hashlib
+import importlib.util
+import inspect
 import json
 
 import pytest
@@ -16,9 +20,19 @@ import pytest
 from repro.cli import main
 from repro.errors import ReproError
 from repro.experiments import ALL_SPECS, RunProfile, cell_seed, get_spec
-from repro.experiments.base import Cell, ExperimentSpec, run_cell
+from repro.experiments.base import (
+    CELL_SCHEMA_VERSION,
+    MODES,
+    PRESETS,
+    Cell,
+    ExperimentSpec,
+    _fn_source,
+    run_cell,
+    run_subtask,
+)
 from repro.runner import (
     RunStore,
+    execute_campaign,
     execute_plan,
     report_from_store,
 )
@@ -122,6 +136,168 @@ class TestCellModel:
             seed=cell.seed,
         )
         assert cell.config_hash() != swapped.config_hash()
+
+
+def _uncached_source(fn) -> str:
+    try:
+        return inspect.getsource(fn)
+    except (OSError, TypeError):
+        return ""
+
+
+def _reference_config_hash(cell: Cell) -> str:
+    """The config hash rebuilt from scratch, reading every source anew."""
+
+    def hook_id(hook):
+        if hook is None:
+            return None
+        name = f"{hook.__module__}.{hook.__qualname__}"
+        return [name, _uncached_source(hook)]
+
+    blob = json.dumps(
+        {
+            "schema": CELL_SCHEMA_VERSION,
+            "exp_id": cell.exp_id,
+            "key": cell.key,
+            "mode": cell.mode,
+            "params": dict(cell.params),
+            "seed": cell.seed,
+            "fn": f"{cell.fn.__module__}.{cell.fn.__qualname__}",
+            "fn_source": _uncached_source(cell.fn),
+            "split": hook_id(cell.split),
+            "fold": hook_id(cell.fold),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _one_cell_per_code_triple() -> "list[Cell]":
+    """One planned cell for each distinct (fn, split, fold) of every plan."""
+    chosen: "dict[tuple, Cell]" = {}
+    for preset in PRESETS:
+        for mode in MODES:
+            profile = RunProfile(preset=preset, mode=mode)
+            for spec in ALL_SPECS.values():
+                for cell in spec.cells(profile):
+                    chosen.setdefault((cell.fn, cell.split, cell.fold), cell)
+    return list(chosen.values())
+
+
+def _load_twin_module(directory, body: str):
+    """Import ``twin_measure`` from its own file under ``directory``."""
+    directory.mkdir()
+    path = directory / "twin_measure.py"
+    path.write_text(
+        f"def measure(params, rng):\n    return {body}\n", encoding="utf-8"
+    )
+    spec = importlib.util.spec_from_file_location("twin_measure", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestConfigHashCost:
+    """The source memo makes hashing cheap without changing any hash."""
+
+    def test_hashes_match_an_uncached_reference(self, tmp_path):
+        _fn_source.cache_clear()
+        cells = _one_cell_per_code_triple()
+        assert len(cells) > len(ALL_SPECS)
+        for cell in cells:
+            assert cell.config_hash() == _reference_config_hash(cell), cell.key
+        execute_campaign(
+            [get_spec(exp_id) for exp_id in ("E8", "E9", "E10")],
+            QUICK,
+            jobs=1,
+            store=RunStore(tmp_path),
+        )
+        for cell in cells:
+            assert cell.config_hash() == _reference_config_hash(cell), cell.key
+
+    def test_memo_is_keyed_by_function_object_not_name(self, tmp_path):
+        first = _load_twin_module(tmp_path / "a", "{'bits': 1}")
+        second = _load_twin_module(tmp_path / "b", "{'bits': 2}")
+        assert first.measure.__module__ == second.measure.__module__
+        assert first.measure.__qualname__ == second.measure.__qualname__
+        cells = [
+            Cell(exp_id="EX", key="n=1", fn=fn, params={"n": 1}, seed=0)
+            for fn in (first.measure, second.measure)
+        ]
+        assert cells[0].config_hash() != cells[1].config_hash()
+        assert [cell.config_hash() for cell in cells] == [
+            _reference_config_hash(cell) for cell in cells
+        ]
+
+    def test_store_path_reads_each_source_once_and_hashes_once_per_op(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_NO_SPLIT", raising=False)
+        _fn_source.cache_clear()
+        reads: "collections.Counter" = collections.Counter()
+        getsource = inspect.getsource
+
+        def counted_getsource(obj):
+            reads[obj] += 1
+            return getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counted_getsource)
+        hashes = 0
+        config_hash = Cell.config_hash
+
+        def counted_config_hash(cell):
+            nonlocal hashes
+            hashes += 1
+            return config_hash(cell)
+
+        monkeypatch.setattr(Cell, "config_hash", counted_config_hash)
+        per_call: "dict[str, list[int]]" = collections.defaultdict(list)
+
+        def hash_counted(name):
+            method = getattr(RunStore, name)
+
+            def counted(self, *args, **kwargs):
+                before = hashes
+                result = method(self, *args, **kwargs)
+                per_call[name].append(hashes - before)
+                return result
+
+            monkeypatch.setattr(RunStore, name, counted)
+
+        for name in (
+            "load",
+            "save",
+            "save_subtask",
+            "load_subtasks",
+            "load_campaign",
+        ):
+            hash_counted(name)
+
+        specs = [get_spec("E9"), get_spec("E10")]
+        store = RunStore(tmp_path)
+        execute_campaign(specs, QUICK, jobs=1, store=store)
+        # A killed fold: the divisible cells lost their whole records and
+        # one part is already back, so the resume loads and saves parts.
+        cells = [cell for spec in specs for cell in spec.cells(QUICK)]
+        assert all(cell.divisible for cell in cells)
+        for cell in cells:
+            store.path_for(cell, QUICK).unlink()
+        first = cells[0].subtasks()[0]
+        store.save_subtask(
+            cells[0], QUICK, first.part, run_subtask(first), 0.0
+        )
+        resumed = execute_campaign(
+            specs, QUICK, jobs=1, store=store, resume=True
+        )
+        assert resumed.subtasks_run > 0
+        for spec in specs:
+            store.require_all(spec.cells(QUICK), QUICK)
+
+        assert reads and max(reads.values()) == 1
+        assert per_call["load_campaign"] == [len(cells)]
+        for name in ("load", "save", "save_subtask", "load_subtasks"):
+            assert per_call[name], name
+            assert set(per_call[name]) == {1}, name
 
 
 class TestExecutorDeterminism:
