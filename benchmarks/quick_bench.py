@@ -16,6 +16,11 @@ into a fresh temporary store, and emits one canonical
 * ``quick_fleet_store.wall_s`` / ``quick_fleet_store.cells`` — the same
   fleet with the store on, so config hashing and store writes, which
   the store-less leg never reaches, stay under the drift bands too.
+* ``e3_compiled.cell_s`` / ``e3_compiled.follower_steps`` — the
+  full-preset ``E3/k=2`` cell run in-process: its wall clock, and
+  (on a second run) its deterministic count of inner ``follower_step``
+  calls, so Theorem 3's compiled transducer, which the fleet never
+  reaches, is watched too (losing its relay memo multiplies both).
 
 Usage (CI's ledger-gate job, or locally to extend the history)::
 
@@ -31,9 +36,14 @@ import datetime
 import json
 import platform
 import tempfile
+import time
+from unittest import mock
 
 from bench_harness import bench_record, write_bench_records
+from repro.core.passes_tradeoff import TwoPassTradeoffRecognizer
 from repro.experiments import RunProfile, get_spec
+from repro.experiments.base import run_cell
+from repro.languages.regular import tradeoff_language
 from repro.runner import RunStore, execute_campaign
 
 FLEET = ("E1", "E7", "E8", "E11")
@@ -100,7 +110,35 @@ def collect(jobs: int = 2) -> "list[dict]":
             store_context,
         ),
     ]
-    return records
+    return records + e3_compiled_records()
+
+
+def e3_compiled_records() -> "list[dict]":
+    """Time the full-preset E3/k=2 cell, then count its follower steps."""
+    (cell,) = [
+        cell
+        for cell in get_spec("E3").cells(RunProfile(preset="full"))
+        if cell.key == "k=2"
+    ]
+    start = time.perf_counter()
+    run_cell(cell)
+    seconds = time.perf_counter() - start
+    inner = type(TwoPassTradeoffRecognizer(tradeoff_language(2)).multipass)
+    original = inner.follower_step
+    calls = 0
+
+    def counting(self, letter, memory, incoming):
+        nonlocal calls
+        calls += 1
+        return original(self, letter, memory, incoming)
+
+    with mock.patch.object(inner, "follower_step", counting):
+        run_cell(cell)
+    context = "E3/k=2 --preset full, in-process"
+    return [
+        bench_record("e3_compiled.cell_s", round(seconds, 6), "s", context),
+        bench_record("e3_compiled.follower_steps", calls, "calls", context),
+    ]
 
 
 def main(argv: "list[str] | None" = None) -> int:

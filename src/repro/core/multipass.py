@@ -239,6 +239,16 @@ class _CompiledOnePass(OnePassTransducer):
     order shared by all processors (part of the look-up table), so the wire
     format need only carry, for each candidate, the *current* transformed
     sequence: ``|M|^pi * pi * ceil(log2 |M|)`` bits — constant in ``n``.
+
+    :meth:`relay` and :meth:`decide` are pure functions of their arguments
+    (each candidate's follower run starts from
+    ``follower_initial_memory()``), so each instance memoizes them per
+    distinct ``(letter, message)`` pair, and :meth:`initial_message`, which
+    ignores the leader letter, is encoded once.  The memo is exact, lives
+    and dies with the instance, and is bounded by ``|Sigma|`` times the
+    reachable messages — finite, since the compiled transducer's message
+    graph is.  Exceptions are not cached: a :class:`CompilationError` is
+    raised again on every call with the same arguments.
     """
 
     def __init__(
@@ -263,6 +273,9 @@ class _CompiledOnePass(OnePassTransducer):
             tuple(seq)
             for seq in itertools.product(self._space, repeat=self._passes)
         ]
+        self._initial = self._encode_table(self._candidates)
+        self._relayed: dict[tuple[str, Bits], Bits] = {}
+        self._decided: dict[tuple[str, Bits], bool] = {}
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -302,9 +315,23 @@ class _CompiledOnePass(OnePassTransducer):
     # -- transducer interface ----------------------------------------------
 
     def initial_message(self, leader_letter: str) -> Bits:
-        return self._encode_table(self._candidates)
+        return self._initial
 
     def relay(self, letter: str, incoming: Bits) -> Bits:
+        key = (letter, incoming)
+        outgoing = self._relayed.get(key)
+        if outgoing is None:
+            outgoing = self._relayed[key] = self._relay(letter, incoming)
+        return outgoing
+
+    def decide(self, leader_letter: str, final: Bits) -> bool:
+        key = (leader_letter, final)
+        decision = self._decided.get(key)
+        if decision is None:
+            decision = self._decided[key] = self._decide(leader_letter, final)
+        return decision
+
+    def _relay(self, letter: str, incoming: Bits) -> Bits:
         table = self._decode_table(incoming)
         transformed = []
         for seq in table:
@@ -316,7 +343,7 @@ class _CompiledOnePass(OnePassTransducer):
             transformed.append(tuple(outputs))
         return self._encode_table(transformed)
 
-    def decide(self, leader_letter: str, final: Bits) -> bool:
+    def _decide(self, leader_letter: str, final: Bits) -> bool:
         table = self._decode_table(final)
         decisions = []
         for candidate, received in zip(self._candidates, table):

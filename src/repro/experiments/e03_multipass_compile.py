@@ -95,8 +95,10 @@ def plan(profile: RunProfile) -> list[Cell]:
     quick = bool(profile)
     cells = []
     for k in _ks(profile):
-        # The k=2 compiled transducer carries an 81-candidate table per
-        # message, so its exhaustive sweep is kept shorter (4^4 words).
+        # The k=2 sweep stops at length 4 (4^4 words).  Its 81-candidate
+        # relays are memoized now, so a longer sweep would be affordable,
+        # but exhaustive_len is part of the config hash and of the pinned
+        # records and digests: changing it would re-key every E3 store.
         cells.append(
             Cell(
                 exp_id="E3",

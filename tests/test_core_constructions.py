@@ -8,6 +8,7 @@ proof claims for it.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from repro.core.message_graph import (
     infinite_witness,
 )
 from repro.core.multipass import (
+    _CompiledOnePass,
     collect_message_space,
     compile_to_one_pass,
     history_forwarding,
@@ -44,6 +46,8 @@ from repro.core.passes_tradeoff import TwoPassTradeoffRecognizer
 from repro.core.regular_bidirectional import BidirectionalDFARecognizer
 from repro.core.regular_onepass import DFARecognizer, TransducerRingAlgorithm
 from repro.errors import AutomatonError, CompilationError, RingError
+from repro.experiments import RunProfile, get_spec
+from repro.experiments.base import run_cell
 from repro.experiments.e02_message_graph import CountingTransducer
 from repro.languages.regular import (
     mod_count_language,
@@ -170,6 +174,80 @@ class TestMultipassCompilation:
             compiled = compile_to_one_pass(two_pass.multipass, space[:1])
             algorithm = TransducerRingAlgorithm(compiled)
             run_unidirectional(algorithm, "01")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_memo_matches_uncached_oracle(self, k):
+        """The memoized transducer sends exactly the uncached one's bits."""
+
+        class Uncached(_CompiledOnePass):
+            def initial_message(self, leader_letter):
+                return self._encode_table(self._candidates)
+
+            def relay(self, letter, incoming):
+                return self._relay(letter, incoming)
+
+            def decide(self, leader_letter, final):
+                return self._decide(leader_letter, final)
+
+        language, two_pass, space = self._space_and_algorithm(k)
+        memoized = TransducerRingAlgorithm(
+            compile_to_one_pass(two_pass.multipass, space)
+        )
+        oracle = TransducerRingAlgorithm(Uncached(two_pass.multipass, space))
+        rng = random.Random(k)
+        words = [
+            "".join(letters)
+            for length in range(1, 5)
+            for letters in itertools.product(language.alphabet, repeat=length)
+        ] + [
+            "".join(
+                rng.choice(language.alphabet) for _ in range(rng.randint(5, 40))
+            )
+            for _ in range(20)
+        ]
+        for word in words:
+            got = run_unidirectional(memoized, word, trace="full")
+            want = run_unidirectional(oracle, word, trace="full")
+            assert [e.bits for e in got.events] == [
+                e.bits for e in want.events
+            ], word
+            assert got.total_bits == want.total_bits, word
+            assert got.decision == want.decision == language.contains(word)
+
+    def test_compilation_error_is_not_memoized(self):
+        language, two_pass, space = self._space_and_algorithm(1)
+        algorithm = TransducerRingAlgorithm(
+            compile_to_one_pass(two_pass.multipass, space[:1])
+        )
+        for _ in range(2):
+            with pytest.raises(CompilationError, match="incomplete"):
+                run_unidirectional(algorithm, "01")
+
+    def test_compiled_cell_follower_step_budget(self, monkeypatch):
+        """The full-preset E3/k=2 cell re-runs no repeated relay.
+
+        Uncached, the cell makes 209,092 ``follower_step`` calls; the
+        memo brings it under 20,000.  The bound fails deterministically
+        when the memo is lost, without relying on timing.
+        """
+        inner = type(TwoPassTradeoffRecognizer(tradeoff_language(2)).multipass)
+        original = inner.follower_step
+        calls = 0
+
+        def counting(self, letter, memory, incoming):
+            nonlocal calls
+            calls += 1
+            return original(self, letter, memory, incoming)
+
+        monkeypatch.setattr(inner, "follower_step", counting)
+        (cell,) = [
+            cell
+            for cell in get_spec("E3").cells(RunProfile(preset="full"))
+            if cell.key == "k=2"
+        ]
+        record = run_cell(cell)
+        assert record["equivalent"] and record["graph_finite"]
+        assert calls <= 25_000, calls
 
     def test_history_forwarding_equivalent(self):
         language, two_pass, space = self._space_and_algorithm(1)
